@@ -9,20 +9,10 @@
 // K40m-class devices, then across a heterogeneous K40m + HD7970 pair, and
 // validates every result.
 //
-// This demo shows STATIC partitioning — weights fixed up front, fixed
-// device set, boundary windows re-uploaded from the host. The repo also
-// has DYNAMIC sharding on the serving path, which re-weights per round and
-// exchanges halos device-to-device:
-//
-//   | | static (this demo) | dynamic sharding |
-//   |---|---|---|
-//   | API            | core::MultiPipeline   | sched::Scheduler + ShardRun |
-//   | weights        | fixed, caller/FLOPs   | live load, every round      |
-//   | device set     | fixed                 | elastic join/leave          |
-//   | halo transport | host re-upload        | P2P (P2pSend/P2pRecv)       |
-//   | try it         | ./build/examples/multi_gpu |
-//                      gpupipe_serve --shard-threshold 1 --devices 2 |
-//   | docs           | docs/architecture.md  | docs/sharding.md            |
+// Weights here are fixed up front (or derived from peak FLOPs). The
+// scheduler's elastic sharding runs each round on the same MultiPipeline,
+// re-weighted by live load (gpupipe_serve --shard-threshold 1 --devices 2,
+// docs/sharding.md).
 //
 // Build & run:  ./build/examples/multi_gpu
 #include <cstdio>

@@ -13,6 +13,7 @@
 // snapshots and summary tables are deterministic and diffable.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -109,6 +110,19 @@ class Histogram {
   std::int64_t count_ = 0;
   double sum_ = 0.0;
 };
+
+/// Exact quantile (q in [0,1]) of a sample: linear interpolation between the
+/// two nearest order statistics. There are no buckets, so nothing clamps —
+/// summaries of recorded values (gpupipe_serve's job latencies) use this
+/// rather than Histogram::quantile. An empty sample reports 0.
+inline double sample_quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
 
 /// A named collection of metrics with deterministic (sorted) iteration.
 /// Name lookup/registration is mutex-guarded and std::map nodes are stable,

@@ -147,11 +147,11 @@ class Pipeline {
   /// completion events on them to track a job without draining the device.
   const std::vector<gpu::Stream*>& streams() const { return streams_; }
   /// Binds the halo exchange any P2pSend/P2pRecv nodes of this pipeline's
-  /// plan dispatch to (sharded sub-regions only; see src/sched/shard.*).
+  /// plan dispatch to (sharded sub-regions and stitched jobs only).
   /// The exchange must outlive every enqueue()/run() that uses it.
   void set_exchange(PlanExchange* exchange) { executor_.set_exchange(exchange); }
   /// Addressing view of mapped array `ai`'s ring buffer (spec array order) —
-  /// the sharding runtime derives P2P exchange pointers from it.
+  /// halo and handoff exchanges derive their copy pointers from it.
   const BufferView& array_view(std::size_t ai) const;
   /// Total device bytes held by the pre-allocated ring buffers.
   Bytes buffer_footprint() const;

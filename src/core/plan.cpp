@@ -371,30 +371,6 @@ ExecutionPlan PlanBuilder::pipeline(const gpu::Gpu& g, const PipelineSpec& spec)
   return predicted_pipeline(spec, &g);
 }
 
-// --- PlanBuilder: multi-device ---
-
-std::vector<ExecutionPlan> PlanBuilder::multi(const MultiSpec& ms) {
-  ms.spec.validate();
-  const auto parts =
-      layout::partition_weighted(ms.spec.iterations(), ms.weights, ms.spec.chunk_size);
-  std::vector<ExecutionPlan> plans;
-  plans.reserve(parts.size());
-  std::int64_t begin = ms.spec.loop_begin;
-  for (std::size_t d = 0; d < parts.size(); ++d) {
-    ExecutionPlan p;
-    if (parts[d] > 0) {
-      PipelineSpec sub = ms.spec;
-      sub.loop_begin = begin;
-      sub.loop_end = begin + parts[d];
-      p = predicted_pipeline(sub, nullptr);
-    }
-    begin += parts[d];
-    p.origin = "multi[" + std::to_string(d) + "]";
-    plans.push_back(std::move(p));
-  }
-  return plans;
-}
-
 // --- Shard decomposition ---
 
 std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
@@ -415,6 +391,7 @@ std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
     if (parts[d] <= 0) continue;
     ShardSlice s;
     s.shard = static_cast<int>(out.size());
+    s.source = static_cast<int>(d);
     s.begin = begin;
     s.end = begin + parts[d];
     begin = s.end;

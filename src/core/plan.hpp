@@ -210,13 +210,6 @@ struct TileBuildState {
   std::vector<bool> pinned;
 };
 
-/// A multi-device region: one PipelineSpec plus the per-device share of the
-/// split loop (positive weights, one per device).
-struct MultiSpec {
-  PipelineSpec spec;
-  std::vector<double> weights;
-};
-
 /// Compiles region specs into ExecutionPlans. Pure arithmetic — never
 /// touches a device.
 class PlanBuilder {
@@ -237,11 +230,6 @@ class PlanBuilder {
 
   /// Plans a 2-D tiled region (declared in core/tile_pipeline.hpp).
   static ExecutionPlan tiles(const TileSpec& spec, const TileBuildState& state);
-
-  /// Plans a multi-device region: slices the split loop by `weights` (see
-  /// layout::partition_weighted) and returns one predicted plan per device
-  /// (empty plan for an empty slice).
-  static std::vector<ExecutionPlan> multi(const MultiSpec& ms);
 };
 
 /// One shard of a multi-device decomposition: a contiguous slice
@@ -249,17 +237,19 @@ class PlanBuilder {
 /// whose plan runs it on one device.
 struct ShardSlice {
   int shard = 0;
+  int source = 0;  ///< index of the weight (device) this slice came from
   std::int64_t begin = 0;
   std::int64_t end = 0;
   PipelineSpec spec;
 };
 
 /// Slices `spec`'s loop across shards by `weights` (granule = chunk_size;
-/// zero-weight / empty slices are dropped and shard indices renumbered) and
-/// wires ShardHalo entries between neighbours for every input array whose
-/// window overhangs its stride: the overhang of shard s's trailing windows
-/// lands via P2P from shard s+1 instead of a host upload, and shard s+1
-/// pushes the overlapping head of its own (host-uploaded) first window.
+/// zero-weight / empty slices are dropped, shard indices renumbered, and
+/// `source` keeps each slice's weight index) and wires ShardHalo entries
+/// between neighbours for every input array whose window overhangs its
+/// stride: the overhang of shard s's trailing windows lands via P2P from
+/// shard s+1 instead of a host upload, and shard s+1 pushes the overlapping
+/// head of its own (host-uploaded) first window.
 /// Requires a static schedule and dim-0 affine splits throughout.
 std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
                                              const std::vector<double>& weights);
@@ -330,7 +320,7 @@ using PlanKernelMaker = std::function<gpu::KernelDesc(const PlanNode&)>;
 
 /// Issues the device work of P2pSend/P2pRecv/DeviceHandoff nodes. The
 /// executor cannot do this itself — a halo or handoff link crosses plans
-/// (and possibly devices), so the sharding runtime (src/sched/shard.*) or
+/// (and possibly devices), so the multi-device executor (core/multi.hpp) or
 /// the stitching runtime (src/sched/scheduler.*) binds an exchange that
 /// knows both ends' buffers and the staging area between them. Executing a
 /// plan containing such nodes without an exchange bound is an error.

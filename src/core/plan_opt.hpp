@@ -52,7 +52,7 @@ struct PassStats {
   Bytes bytes_saved = 0;           ///< transfer bytes eliminated
   /// Per-array share of bytes_saved (plan array order, zero entries kept).
   std::vector<std::pair<std::string, Bytes>> bytes_saved_by_array;
-  double elapsed_s = 0.0;  ///< wall time optimize_plan spent in the pass
+  double elapsed_s = 0.0;  ///< wall time of the pass (in memory only; never serialized)
 };
 
 /// Before/after accounting of one optimize_plan call.

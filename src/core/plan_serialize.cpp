@@ -266,7 +266,6 @@ void write_report(ByteWriter& w, const OptReport& rep) {
       w.str(name);
       w.u64(bytes);
     }
-    w.f64(ps.elapsed_s);
   }
   w.u64(rep.h2d_bytes_before);
   w.u64(rep.h2d_bytes_after);
@@ -279,7 +278,7 @@ void write_report(ByteWriter& w, const OptReport& rep) {
 }
 
 void read_report(ByteReader& r, OptReport& rep) {
-  const std::uint64_t num_passes = r.count(8 * 6);
+  const std::uint64_t num_passes = r.count(8 * 5);
   rep.passes.resize(static_cast<std::size_t>(num_passes));
   for (PassStats& ps : rep.passes) {
     ps.pass = r.str();
@@ -292,7 +291,6 @@ void read_report(ByteReader& r, OptReport& rep) {
       name = r.str();
       bytes = r.u64();
     }
-    ps.elapsed_s = r.f64();
     if (!r.ok()) return;
   }
   rep.h2d_bytes_before = r.u64();

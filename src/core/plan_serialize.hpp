@@ -57,7 +57,9 @@ inline constexpr std::uint32_t kPlanBundleMagic = 0x4e425047u;
 /// v2: PlanNode grew the `peer` shard field (P2pSend/P2pRecv halo nodes).
 /// v3: DeviceHandoff stitching — PlanArrayInfo grew handoff_link/handoff_out,
 ///     PassStats grew elapsed_s, OptReport grew stitched_bytes/fused_kernels.
-inline constexpr std::uint32_t kPlanFormatVersion = 3;
+/// v4: PassStats::elapsed_s (wall time) is no longer written, so one plan
+///     always serializes to the same bytes (reproducible bundles).
+inline constexpr std::uint32_t kPlanFormatVersion = 4;
 
 /// What one artifact carries. Values are part of the wire format.
 enum class ArtifactKind : std::uint32_t {

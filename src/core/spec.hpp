@@ -142,7 +142,7 @@ struct ArraySpec {
 };
 
 /// Halo wiring of one array of a sharded sub-region (multi-device
-/// decomposition, src/sched/shard.*). A shard's plan normally uploads every
+/// decomposition, core/multi.hpp). A shard's plan normally uploads every
 /// split index its windows touch from the host; a ShardHalo redirects part
 /// of that traffic to device-to-device exchange with a neighbouring shard:
 /// indices >= `recv_lo` arrive as P2pRecv nodes fed by shard `recv_peer`

@@ -243,30 +243,36 @@ bool Scheduler::intake() {
       progress = true;
       continue;
     }
-    if (queue_.full()) {
-      if (!stalled_[idx]) {
-        stalled_[idx] = 1;
-        ++backpressure_events_;
-        record_flight(telemetry::FlightEventKind::Backpressure, id);
-        log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
-                  ") waits for a queue slot");
-      }
-      break;
-    }
-    JobQueue::Item it;
-    it.job = id;
-    it.seq = static_cast<std::uint64_t>(id);
-    it.priority = jobs_[idx].priority;
-    it.estimate = records_[idx].estimate;
-    ensure(queue_.push(it), "queue push failed after full() check");
-    records_[idx].state = JobState::Queued;
-    records_[idx].enqueue_time = host_now();
-    record_flight(telemetry::FlightEventKind::Enqueue, id);
+    if (!try_enqueue(id)) break;
     ++next_pending_;
-    note_queue_depth();
     progress = true;
   }
   return progress;
+}
+
+bool Scheduler::try_enqueue(int id) {
+  const std::size_t idx = static_cast<std::size_t>(id);
+  if (queue_.full()) {
+    if (!stalled_[idx]) {
+      stalled_[idx] = 1;
+      ++backpressure_events_;
+      record_flight(telemetry::FlightEventKind::Backpressure, id);
+      log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
+                ") waits for a queue slot");
+    }
+    return false;
+  }
+  JobQueue::Item it;
+  it.job = id;
+  it.seq = static_cast<std::uint64_t>(id);
+  it.priority = jobs_[idx].priority;
+  it.estimate = records_[idx].estimate;
+  ensure(queue_.push(it), "queue push failed after full() check");
+  records_[idx].state = JobState::Queued;
+  records_[idx].enqueue_time = host_now();
+  record_flight(telemetry::FlightEventKind::Enqueue, id);
+  note_queue_depth();
+  return true;
 }
 
 bool Scheduler::lineage_ready(int id) const {
@@ -296,28 +302,11 @@ bool Scheduler::drain_lineage_waiters() {
       progress = true;
       continue;
     }
-    if (queue_.full()) {
-      if (!stalled_[idx]) {
-        stalled_[idx] = 1;
-        ++backpressure_events_;
-        record_flight(telemetry::FlightEventKind::Backpressure, id);
-        log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
-                  ") waits for a queue slot");
-      }
+    if (!try_enqueue(id)) {
       ++i;
       continue;
     }
-    JobQueue::Item it;
-    it.job = id;
-    it.seq = static_cast<std::uint64_t>(id);
-    it.priority = jobs_[idx].priority;
-    it.estimate = records_[idx].estimate;
-    ensure(queue_.push(it), "queue push failed after full() check");
-    records_[idx].state = JobState::Queued;
-    records_[idx].enqueue_time = host_now();
-    record_flight(telemetry::FlightEventKind::Enqueue, id);
     lineage_wait_.erase(lineage_wait_.begin() + static_cast<std::ptrdiff_t>(i));
-    note_queue_depth();
     progress = true;
   }
   return progress;
@@ -384,7 +373,7 @@ bool Scheduler::shard_eligible(int id) const {
   // solo path: its input lives in staging, not in host memory, and sharded
   // specs cannot carry handoffs.
   for (const JobInput& in : job.inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
+    const std::string& pname = in.source_array();
     for (const auto& l : links_)
       if (l->producer == in.producer && l->array == pname && l->staging != nullptr)
         return false;
@@ -646,7 +635,7 @@ std::vector<int> Scheduler::placement_order_for(int id) const {
   // Lineage co-placement: trying the device that holds the consumed staging
   // first makes the handoff a same-device d2d instead of a P2P fallback.
   for (const JobInput& in : jobs_[static_cast<std::size_t>(id)].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
+    const std::string& pname = in.source_array();
     for (const auto& l : links_) {
       if (l->producer != in.producer || l->array != pname || l->staging == nullptr)
         continue;
@@ -710,8 +699,7 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
     if (records_[j].state == JobState::Rejected) continue;
     for (const JobInput& in : jobs_[j].inputs) {
       if (in.producer != id) continue;
-      const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-      const int pi = array_index(spec, pname);
+      const int pi = array_index(spec, in.source_array());
       if (pi < 0) continue;
       const core::ArraySpec& pa = spec.arrays[static_cast<std::size_t>(pi)];
       if (pa.map == core::MapType::To || pa.split.dim != 0 || pa.split.window_fn)
@@ -804,8 +792,7 @@ void Scheduler::wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec
                                        Active& a) {
   const std::size_t idx = static_cast<std::size_t>(id);
   for (const JobInput& in : jobs_[idx].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    HandoffLink* link = find_link(in.producer, pname);
+    HandoffLink* link = find_link(in.producer, in.source_array());
     if (link == nullptr || link->staging == nullptr) continue;
     const int ci = array_index(spec, in.array);
     if (ci < 0) continue;
@@ -875,8 +862,7 @@ void Scheduler::rescue_to_host(HandoffLink& link) {
 
 void Scheduler::release_consumed_links(int id) {
   for (const JobInput& in : jobs_[static_cast<std::size_t>(id)].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    HandoffLink* link = find_link(in.producer, pname);
+    HandoffLink* link = find_link(in.producer, in.source_array());
     if (link == nullptr) continue;
     if (--link->consumers <= 0) retire_link(*link);
   }

@@ -1,7 +1,7 @@
 // Multi-tenant job scheduler over a shared simulated machine.
 //
 // The executors below src/core run one region at a time (or one region
-// mirrored across devices — MultiPipeline). The Scheduler generalizes that
+// split across devices — MultiPipeline). The Scheduler generalizes that
 // to a serving scenario: many independent jobs, arriving over virtual time,
 // share the devices of one gpu::SharedContext. Each admitted job becomes a
 // core::Pipeline driven through the split-phase enqueue()/wait() interface,
@@ -264,6 +264,9 @@ class Scheduler {
   /// Moves arrived lineage waiters whose producers turned terminal into the
   /// ready queue; consumers of a rejected producer are rejected here.
   bool drain_lineage_waiters();
+  /// Pushes arrived job `id` onto the ready queue; when the queue is full,
+  /// counts one backpressure event per job and returns false.
+  bool try_enqueue(int id);
   HandoffLink* find_link(int producer, const std::string& array);
   /// Wires produce-side ArrayHandoffs into `id`'s frozen `spec` for every
   /// stitchable consumer array (cost-model gated; staging on `dev`).

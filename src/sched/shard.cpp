@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "core/layout.hpp"
 
 namespace gpupipe::sched {
 
@@ -39,40 +37,6 @@ std::vector<double> shard_weights(const std::vector<int>& devices,
   return w;
 }
 
-// --- Exchange ---
-
-void ShardRun::Exchange::issue(gpu::Gpu& g, gpu::Stream& s, const core::PlanNode& n) {
-  const std::size_t ai = static_cast<std::size_t>(n.array);
-  const core::BufferView& v = pipeline->array_view(ai);
-  if (n.op == core::PlanOp::P2pSend) {
-    HaloLink* link = ai < send.size() ? send[ai] : nullptr;
-    require(link != nullptr, "p2p-send node has no halo link for its array");
-    // Push the overhanging window head from this shard's ring slots into
-    // the staging buffer on the receiving device — the copy rides this
-    // device's DMA engine, never the host.
-    for (const core::PlanSegment& seg : n.segments) {
-      std::byte* src = v.base + static_cast<Bytes>(seg.slot) * link->unit;
-      std::byte* dst =
-          link->stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
-      g.memcpy_p2p_async(*link->dst, dst, src, seg.bytes(), s);
-      link->moved += seg.bytes();
-    }
-    link->sent = g.record_event(s);
-  } else {
-    require(n.op == core::PlanOp::P2pRecv, "exchange issued for a non-P2P node");
-    HaloLink* link = ai < recv.size() ? recv[ai] : nullptr;
-    require(link != nullptr, "p2p-recv node has no halo link for its array");
-    require(link->sent != nullptr, "p2p-recv enqueued before its peer's send");
-    g.wait_event(s, link->sent);
-    for (const core::PlanSegment& seg : n.segments) {
-      std::byte* dst = v.base + static_cast<Bytes>(seg.slot) * link->unit;
-      const std::byte* src =
-          link->stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
-      g.memcpy_d2d_async(dst, src, seg.bytes(), s);
-    }
-  }
-}
-
 // --- ShardRun ---
 
 ShardRun::ShardRun(const Job& job, std::vector<gpu::Gpu*> devices,
@@ -88,15 +52,10 @@ ShardRun::ShardRun(const Job& job, std::vector<gpu::Gpu*> devices,
 }
 
 ShardRun::~ShardRun() {
-  // Abnormal teardown with a round still live: drain, release, free stages.
-  for (ShardExec& ex : shards_) {
-    if (ex.pipeline) {
-      ex.pipeline->wait();
-      ex.pipeline.reset();
-    }
-    admission_.release(ex.device, ex.footprint);
-  }
-  for (auto& l : links_) l->dst->device_free(l->stage);
+  // Abnormal teardown with a round still live: drain, then release.
+  if (round_) round_->wait();
+  round_.reset();
+  for (const Shard& sh : shards_) admission_.release(sh.device, sh.footprint);
 }
 
 bool ShardRun::start_round(const std::vector<int>& devices,
@@ -138,29 +97,21 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   // whole round admits (or no device is left). try_admit commits nothing,
   // so a failed attempt leaves the controller untouched.
   std::vector<core::ShardSlice> slices;
-  std::vector<int> slice_dev;
   std::vector<AdmissionDecision> dec;
   for (;;) {
     if (devs.empty()) return false;
     slices = core::shard_pipeline_specs(base, w);
-    // Map slices back to devices: shard_pipeline_specs drops empty parts,
-    // so replay the identical partition to learn which survived.
-    const std::vector<std::int64_t> parts =
-        core::layout::partition_weighted(base.iterations(), w, base.chunk_size);
-    slice_dev.clear();
-    for (std::size_t p = 0; p < parts.size(); ++p)
-      if (parts[p] > 0) slice_dev.push_back(devs[p]);
-    ensure(slice_dev.size() == slices.size(), "shard slice/partition mismatch");
-
     dec.clear();
     std::vector<char> refuse(devs.size(), 0);
     bool refused = false;
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const AdmissionDecision d = admission_.try_admit(slice_dev[i], slices[i].spec);
+    for (core::ShardSlice& sl : slices) {
+      // Re-point the slice at the scheduler's device vector.
+      const std::size_t j = static_cast<std::size_t>(sl.source);
+      sl.source = devs[j];
+      const AdmissionDecision d = admission_.try_admit(sl.source, sl.spec);
       if (!d.admitted) {
         refused = true;
-        for (std::size_t j = 0; j < devs.size(); ++j)
-          if (devs[j] == slice_dev[i]) refuse[j] = 1;
+        refuse[j] = 1;
       }
       dec.push_back(d);
     }
@@ -177,110 +128,55 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   }
 
   round_end_ = base.loop_end;
-  shards_.clear();
-  shards_.resize(slices.size());
   if (rounds_ == 0) {
     chunk0_ = dec[0].chunk_size;
     streams0_ = dec[0].num_streams;
   }
+  shards_.clear();
   for (std::size_t i = 0; i < slices.size(); ++i) {
-    shards_[i].device = slice_dev[i];
-    shards_[i].footprint = dec[i].footprint;
-    shards_[i].exchange = std::make_unique<Exchange>();
-    admission_.commit(slice_dev[i], dec[i].footprint);
+    core::ShardSlice& sl = slices[i];
+    shards_.push_back({sl.source, dec[i].footprint});
+    admission_.commit(sl.source, dec[i].footprint);
     if (dec[i].shrunk) shrunk_ = true;
-  }
-
-  const std::size_t narr = job_.spec.arrays.size();
-  // Links are created by the sending (higher-index) shard and picked up by
-  // the receiver, keyed (receiver shard, array).
-  std::map<std::pair<int, int>, HaloLink*> by_recv;
-  // Build and enqueue in DESCENDING shard order: shard s+1 sends the halo
-  // to shard s, and the receiver's P2pRecv can only wait on an event that
-  // exists once the sender's round is enqueued.
-  for (int s = static_cast<int>(slices.size()) - 1; s >= 0; --s) {
-    const std::size_t si = static_cast<std::size_t>(s);
-    ShardExec& ex = shards_[si];
-    gpu::Gpu& dev = *devices_.at(static_cast<std::size_t>(ex.device));
-    core::PipelineSpec spec = slices[si].spec;
     // Freeze the admitted shape, exactly like the scheduler's solo path.
-    spec.chunk_size = dec[si].chunk_size;
-    spec.num_streams = dec[si].num_streams;
-    spec.mem_limit = dec[si].footprint;
-
-    dev.trace().set_trace_id(opts_.trace_id);
-    ex.pipeline = std::make_unique<core::Pipeline>(dev, std::move(spec));
-    Exchange& xc = *ex.exchange;
-    xc.pipeline = ex.pipeline.get();
-    xc.send.assign(narr, nullptr);
-    xc.recv.assign(narr, nullptr);
-    for (const core::ShardHalo& h : slices[si].spec.halos) {
-      const std::size_t ai = static_cast<std::size_t>(h.array);
-      if (h.send_peer >= 0) {
-        const std::size_t peer = static_cast<std::size_t>(h.send_peer);
-        auto link = std::make_unique<HaloLink>();
-        link->src = &dev;
-        link->dst = devices_.at(static_cast<std::size_t>(shards_[peer].device));
-        link->src_index = ex.device;
-        link->dst_index = shards_[peer].device;
-        const core::ArraySpec& a = job_.spec.arrays[ai];
-        link->lo = a.split.start(slices[si].begin);  // the shard boundary
-        link->unit = ex.pipeline->array_view(ai).slab;
-        link->stage_bytes = static_cast<Bytes>(h.send_hi - link->lo) * link->unit;
-        link->stage = link->dst->device_malloc(link->stage_bytes);
-        xc.send[ai] = link.get();
-        by_recv[{h.send_peer, h.array}] = link.get();
-        links_.push_back(std::move(link));
-      }
-      if (h.recv_peer >= 0) {
-        auto it = by_recv.find({s, h.array});
-        ensure(it != by_recv.end(), "shard recv halo has no link from its peer");
-        xc.recv[ai] = it->second;
-      }
-    }
-    ex.pipeline->set_exchange(ex.exchange.get());
-    ex.pipeline->enqueue(job_.kernel);
-    for (gpu::Stream* st : ex.pipeline->streams())
-      ex.events.push_back(dev.record_event(*st));
-    dev.trace().set_trace_id(-1);
-    log_debug("shard: round ", rounds_, " shard ", s, " -> dev", ex.device, " [",
-              slices[si].begin, ", ", slices[si].end, "), chunk ", dec[si].chunk_size,
-              ", ", dec[si].num_streams, " streams");
+    sl.spec.chunk_size = dec[i].chunk_size;
+    sl.spec.num_streams = dec[i].num_streams;
+    sl.spec.mem_limit = dec[i].footprint;
+    log_debug("shard: round ", rounds_, " shard ", i, " -> dev", sl.source, " [", sl.begin,
+              ", ", sl.end, "), chunk ", dec[i].chunk_size, ", ", dec[i].num_streams,
+              " streams");
   }
+
+  // Each shard device hosts exactly one slice, so publishing the trace id on
+  // all of them for the enqueue tags exactly this job's submissions.
+  round_ = std::make_unique<core::MultiPipeline>(devices_, std::move(slices));
+  for (const Shard& sh : shards_)
+    devices_[static_cast<std::size_t>(sh.device)]->trace().set_trace_id(opts_.trace_id);
+  round_->enqueue(job_.kernel);
+  for (const Shard& sh : shards_)
+    devices_[static_cast<std::size_t>(sh.device)]->trace().set_trace_id(-1);
 
   if (opts_.flight) {
-    for (const auto& l : links_)
-      if (l->moved > 0)
-        opts_.flight(telemetry::FlightEventKind::P2pXfer,
-                     static_cast<std::int64_t>(l->moved), l->src_index, l->dst_index);
+    for (const auto& t : round_->halo_transfers())
+      if (t.bytes > 0)
+        opts_.flight(telemetry::FlightEventKind::P2pXfer, static_cast<std::int64_t>(t.bytes),
+                     t.from, t.to);
   }
-  return true;
-}
-
-bool ShardRun::round_done() const {
-  for (const ShardExec& ex : shards_)
-    for (const auto& ev : ex.events)
-      if (!ev->complete()) return false;
   return true;
 }
 
 void ShardRun::finish_round() {
   require(live(), "ShardRun::finish_round without a live round");
-  for (ShardExec& ex : shards_) {
-    for (const auto& ev : ex.events)
-      finish_time_ = std::max(finish_time_, ev->timestamp());
-    // All events already fired; the drain is bookkeeping, and destroying
-    // the pipeline releases its ring buffers and streams.
-    ex.pipeline->wait();
-    const core::PipelineStats& st = ex.pipeline->stats();
-    p2p_bytes_ += st.p2p_bytes;
-    h2d_bytes_ += st.h2d_bytes;
-    d2h_bytes_ += st.d2h_bytes;
-    ex.pipeline.reset();
-    admission_.release(ex.device, ex.footprint);
-  }
-  for (auto& l : links_) l->dst->device_free(l->stage);
-  links_.clear();
+  finish_time_ = std::max(finish_time_, round_->finish_time());
+  // All events already fired; the drain is bookkeeping, and destroying the
+  // round releases its ring buffers, streams and halo stages.
+  round_->wait();
+  const core::PipelineStats st = round_->stats();
+  p2p_bytes_ += st.p2p_bytes;
+  h2d_bytes_ += st.h2d_bytes;
+  d2h_bytes_ += st.d2h_bytes;
+  round_.reset();
+  for (const Shard& sh : shards_) admission_.release(sh.device, sh.footprint);
   shards_.clear();
   cursor_ = round_end_;
   ++rounds_;
@@ -288,28 +184,21 @@ void ShardRun::finish_round() {
 
 std::int64_t ShardRun::device_mask() const {
   std::int64_t mask = 0;
-  for (const ShardExec& ex : shards_)
-    if (ex.device >= 0 && ex.device < 63) mask |= std::int64_t{1} << ex.device;
+  for (const Shard& sh : shards_)
+    if (sh.device >= 0 && sh.device < 63) mask |= std::int64_t{1} << sh.device;
   return mask;
 }
 
 std::vector<int> ShardRun::shard_devices() const {
   std::vector<int> out;
   out.reserve(shards_.size());
-  for (const ShardExec& ex : shards_) out.push_back(ex.device);
+  for (const Shard& sh : shards_) out.push_back(sh.device);
   return out;
 }
 
 Bytes ShardRun::round_footprint() const {
   Bytes total = 0;
-  for (const ShardExec& ex : shards_) total += ex.footprint;
-  return total;
-}
-
-Bytes ShardRun::round_p2p_bytes() const {
-  Bytes total = 0;
-  for (const ShardExec& ex : shards_)
-    if (ex.pipeline) total += ex.pipeline->stats().p2p_bytes;
+  for (const Shard& sh : shards_) total += sh.footprint;
   return total;
 }
 

@@ -1,24 +1,15 @@
-// Elastic multi-device sharding with P2P halo exchange (extension).
+// Elastic multi-device sharding (extension).
 //
-// MultiPipeline (core/multi.hpp) statically splits ONE region across every
-// device by a fixed weight vector decided before launch. This module is the
-// dynamic counterpart for the serving path: the scheduler hands a single
-// oversized job to a ShardRun, which partitions the outer loop across the
-// devices that are available *right now*, weighted by live load, and keeps
-// re-deciding at round boundaries — devices can join or leave between
-// rounds (elasticity) and the remaining iterations are re-balanced each
-// time.
-//
-// The data-movement difference from MultiPipeline: input windows that
-// overhang a shard boundary (window > stride) are NOT re-uploaded from the
-// host by the neighbouring shard. core::shard_pipeline_specs wires ShardHalo
-// entries into each sub-spec, the plan builder lowers them to P2pSend /
-// P2pRecv nodes, and the ShardExchange here implements those nodes with
-// device-to-device copies (gpu::memcpy_p2p_async into a staging buffer on
-// the receiver, then an on-device memcpy into the receiver's ring slots),
-// ordered by a cross-device event. Host H2D traffic of a sharded run is
-// therefore byte-identical to a solo run — zero host bounce for halos —
-// which tests assert via PipelineStats.
+// The scheduler hands a single oversized job to a ShardRun, which slices the
+// outer loop across the devices that are available *right now*, weighted by
+// live load, and keeps re-deciding at round boundaries — devices can join or
+// leave between rounds and the remaining iterations are re-balanced each
+// time. ShardRun is only the policy: candidate devices, per-shard admission
+// (refused devices are dropped and the rest re-sliced), memory commits and
+// releases, the round cursor, totals and flight events. Each round runs on
+// one core::MultiPipeline (core/multi.hpp), the multi-device executor, which
+// also moves boundary halos device-to-device, so a sharded run's host H2D
+// traffic equals a solo run's.
 //
 // Determinism: shard outputs are disjoint per iteration and halo slices are
 // copies of data the sender uploaded from the same host array, so results
@@ -33,7 +24,7 @@
 #include <vector>
 
 #include "common/flight_recorder.hpp"
-#include "core/pipeline.hpp"
+#include "core/multi.hpp"
 #include "sched/admission.hpp"
 #include "sched/job.hpp"
 
@@ -69,9 +60,8 @@ struct ShardRunOptions {
 };
 
 /// One sharded job execution: a sequence of rounds, each an admission-
-/// checked multi-device partition of the remaining iterations, with P2P
-/// halo exchange between neighbouring shards. Driven by the Scheduler
-/// through start_round / round_done / finish_round.
+/// checked MultiPipeline over a partition of the remaining iterations.
+/// Driven by the Scheduler through start_round / round_done / finish_round.
 class ShardRun {
  public:
   /// `job` and `admission` must outlive the run; `devices` is the
@@ -83,21 +73,20 @@ class ShardRun {
   ShardRun& operator=(const ShardRun&) = delete;
 
   /// Partitions the next round over `devices` by `weights` (parallel
-  /// vectors), admits every shard, commits its memory, builds the shard
-  /// pipelines, wires the halo links, and enqueues everything (senders
-  /// before receivers). Devices whose shard fails admission are dropped
+  /// vectors), admits every shard, commits its memory, and enqueues the
+  /// round's MultiPipeline. Devices whose shard fails admission are dropped
   /// and the rest re-partitioned. Returns false — with nothing committed
   /// or enqueued — when no device can admit a shard.
   bool start_round(const std::vector<int>& devices, const std::vector<double>& weights);
 
   /// True when the live round's stream events have all fired (or no round
   /// is live). Never advances time.
-  bool round_done() const;
+  bool round_done() const { return !round_ || round_->done(); }
   /// Whether a round is currently enqueued.
-  bool live() const { return !shards_.empty(); }
-  /// Drains the finished round, releases its admission commits and staging
-  /// buffers, folds its transfer stats into the run totals, and advances
-  /// the iteration cursor.
+  bool live() const { return round_ != nullptr; }
+  /// Drains the finished round, tears down its MultiPipeline, releases its
+  /// admission commits, folds its transfer stats into the run totals, and
+  /// advances the iteration cursor.
   void finish_round();
 
   /// All iterations produced?
@@ -114,7 +103,7 @@ class ShardRun {
   /// Committed ring-buffer bytes of the live round, all shards.
   Bytes round_footprint() const;
   /// Halo bytes the live round pushed device-to-device at enqueue.
-  Bytes round_p2p_bytes() const;
+  Bytes round_p2p_bytes() const { return round_->stats().p2p_bytes; }
   /// First shard's admitted shape (what the scheduler reports for the job).
   int first_device() const;
   std::int64_t first_chunk_size() const { return chunk0_; }
@@ -130,39 +119,10 @@ class ShardRun {
   SimTime finish_time() const { return finish_time_; }
 
  private:
-  /// One staged halo channel between a neighbouring shard pair, per array:
-  /// the sender P2P-copies its overhanging window head into `stage` (on the
-  /// receiver's device) and records `sent`; the receiver waits on `sent`
-  /// and lands the slice into its own ring slots with an on-device copy.
-  struct HaloLink {
-    gpu::Gpu* src = nullptr;
-    gpu::Gpu* dst = nullptr;
-    int src_index = -1;  ///< scheduler device indices (flight events)
-    int dst_index = -1;
-    std::byte* stage = nullptr;
-    Bytes stage_bytes = 0;
-    std::int64_t lo = 0;  ///< first staged split index (the shard boundary)
-    Bytes unit = 0;       ///< bytes per split index (the array's slab size)
-    gpu::EventPtr sent;
-    Bytes moved = 0;  ///< bytes pushed through this link (this round)
-  };
-
-  /// Per-shard PlanExchange: implements the shard's P2pSend/P2pRecv nodes
-  /// against its HaloLinks.
-  class Exchange final : public core::PlanExchange {
-   public:
-    void issue(gpu::Gpu& g, gpu::Stream& s, const core::PlanNode& n) override;
-    core::Pipeline* pipeline = nullptr;
-    std::vector<HaloLink*> send;  ///< by array index; null = no halo
-    std::vector<HaloLink*> recv;
-  };
-
-  struct ShardExec {
-    int device = -1;  ///< scheduler device index
+  /// A live-round shard: its device (scheduler index) and committed bytes.
+  struct Shard {
+    int device = -1;
     Bytes footprint = 0;
-    std::unique_ptr<Exchange> exchange;
-    std::unique_ptr<core::Pipeline> pipeline;
-    std::vector<gpu::EventPtr> events;
   };
 
   const Job& job_;
@@ -173,8 +133,8 @@ class ShardRun {
   std::int64_t cursor_ = 0;
   std::int64_t end_ = 0;
   std::int64_t round_end_ = 0;  ///< where the live round's slice stops
-  std::vector<ShardExec> shards_;  ///< live round, ascending shard order
-  std::vector<std::unique_ptr<HaloLink>> links_;
+  std::vector<Shard> shards_;  ///< live round, ascending shard order
+  std::unique_ptr<core::MultiPipeline> round_;  ///< the live round
 
   std::int64_t chunk0_ = 0;
   int streams0_ = 0;

@@ -108,6 +108,8 @@ TEST(Layout, PartitionWeightedSplitsProportionally) {
   EXPECT_EQ(partition_weighted(100, {1.0, 1.0}, 4), (std::vector<std::int64_t>{48, 52}));
   EXPECT_EQ(partition_weighted(90, {2.0, 1.0}, 10), (std::vector<std::int64_t>{60, 30}));
   EXPECT_EQ(partition_weighted(7, {1.0}, 2), (std::vector<std::int64_t>{7}));
+  // A loop shorter than one granule goes entirely to one part.
+  EXPECT_EQ(partition_weighted(3, {1.0, 1.0, 1.0}, 4), (std::vector<std::int64_t>{0, 0, 3}));
   // Parts always sum to the total.
   const auto parts = partition_weighted(101, {3.0, 2.0, 1.0}, 8);
   std::int64_t sum = 0;

@@ -2,6 +2,7 @@
 // simulation context.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -72,20 +73,6 @@ TEST(SharedContext, EachDeviceHasItsOwnMemorySpace) {
   EXPECT_NE(p0, p1);
   EXPECT_EQ(g0.device_mem_stats().current, 1024u);
   EXPECT_EQ(g1.device_mem_stats().current, 1024u);
-}
-
-TEST(Partition, SplitsProportionallyInChunkGranules) {
-  const auto parts = MultiPipeline::partition(100, {1.0, 1.0}, 4);
-  EXPECT_EQ(parts, (std::vector<std::int64_t>{48, 52}));
-  const auto uneven = MultiPipeline::partition(90, {2.0, 1.0}, 1);
-  EXPECT_EQ(uneven, (std::vector<std::int64_t>{60, 30}));
-  const auto one = MultiPipeline::partition(7, {5.0}, 2);
-  EXPECT_EQ(one, (std::vector<std::int64_t>{7}));
-}
-
-TEST(Partition, TinyLoopsGoEntirelyToOneDevice) {
-  const auto parts = MultiPipeline::partition(3, {1.0, 1.0, 1.0}, 4);
-  EXPECT_EQ(std::accumulate(parts.begin(), parts.end(), std::int64_t{0}), 3);
 }
 
 TEST(MultiPipeline, TwoDevicesComputeTheSameResultAsOne) {
@@ -174,6 +161,27 @@ TEST(MultiPipeline, RejectsAdaptiveSchedule) {
   EXPECT_THROW(MultiPipeline({{&g0, 1.0}}, spec), Error);
 }
 
+TEST(MultiPipeline, RejectsHaloSentToAHigherSlice) {
+  // Senders are issued before receivers (descending slice order), so a
+  // hand-wired halo that sends upward can never be satisfied.
+  auto ctx = gpu::make_shared_context();
+  gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  std::vector<double> in(1), out(1);
+  auto spec = rows_spec(in, out, 16, 4, 2, 1);
+  spec.arrays[0].host = g0.host_alloc(16 * 4 * sizeof(double));
+  spec.arrays[1].host = g0.host_alloc(16 * 4 * sizeof(double));
+  std::vector<ShardSlice> slices = shard_pipeline_specs(spec, {1.0, 1.0});
+  ASSERT_EQ(slices.size(), 2u);
+  ShardHalo up;
+  up.array = 0;
+  up.send_hi = slices[0].begin + 1;
+  up.send_peer = 1;
+  slices[0].spec.halos.push_back(up);
+  MultiPipeline mp({&g0, &g1}, std::move(slices));
+  EXPECT_THROW(mp.enqueue(doubler(4)), Error);
+}
+
 TEST(MultiPipeline, SingleDeviceDegeneratesToPipeline) {
   auto ctx = gpu::make_shared_context();
   gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Functional, ctx);
@@ -185,45 +193,62 @@ TEST(MultiPipeline, SingleDeviceDegeneratesToPipeline) {
 }
 
 TEST(MultiPipeline, HaloWindowsStraddleBoundariesCorrectly) {
-  // A window-3 stencil over two devices: the halo rows at the slice
-  // boundary must reach both devices for correct results.
-  auto ctx = gpu::make_shared_context();
-  gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Functional, ctx);
-  gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Functional, ctx);
+  // A window-3 stencil: the halo rows at a slice boundary must reach both
+  // neighbours for correct results, and they travel device-to-device, so
+  // host H2D traffic matches a one-device run exactly.
   const std::int64_t n = 40, m = 8;
-  std::vector<double> in(n * m), out(n * m, 0.0);
+  std::vector<double> in(n * m);
   std::iota(in.begin(), in.end(), 0.0);
-
-  PipelineSpec spec;
-  spec.chunk_size = 2;
-  spec.num_streams = 2;
-  spec.loop_begin = 1;
-  spec.loop_end = n - 1;
-  spec.arrays = {
-      ArraySpec{"in", MapType::To, reinterpret_cast<std::byte*>(in.data()), sizeof(double),
-                {n, m}, SplitSpec{0, Affine{1, -1}, 3}},
-      ArraySpec{"out", MapType::From, reinterpret_cast<std::byte*>(out.data()), sizeof(double),
-                {n, m}, SplitSpec{0, Affine{1, 0}, 1}},
-  };
-  MultiPipeline mp({{&g0, 1.0}, {&g1, 1.0}}, spec);
-  mp.run([m](const ChunkContext& ctx2) {
-    gpu::KernelDesc k;
-    const BufferView in_v = ctx2.view("in");
-    const BufferView out_v = ctx2.view("out");
-    const std::int64_t lo = ctx2.begin(), hi = ctx2.end();
-    k.body = [in_v, out_v, lo, hi, m] {
-      for (std::int64_t r = lo; r < hi; ++r)
-        for (std::int64_t j = 0; j < m; ++j)
-          out_v.slab_ptr(r)[j] =
-              in_v.slab_ptr(r - 1)[j] + in_v.slab_ptr(r)[j] + in_v.slab_ptr(r + 1)[j];
+  auto run_on = [&](int ndev, std::vector<double>& out) {
+    auto ctx = gpu::make_shared_context();
+    std::vector<std::unique_ptr<gpu::Gpu>> gpus;
+    std::vector<DeviceShare> shares;
+    for (int i = 0; i < ndev; ++i) {
+      gpus.push_back(
+          std::make_unique<gpu::Gpu>(gpu::nvidia_k40m(), gpu::ExecMode::Functional, ctx));
+      shares.push_back({gpus.back().get(), 1.0});
+    }
+    PipelineSpec spec;
+    spec.chunk_size = 2;
+    spec.num_streams = 2;
+    spec.loop_begin = 1;
+    spec.loop_end = n - 1;
+    spec.arrays = {
+        ArraySpec{"in", MapType::To, reinterpret_cast<std::byte*>(in.data()), sizeof(double),
+                  {n, m}, SplitSpec{0, Affine{1, -1}, 3}},
+        ArraySpec{"out", MapType::From, reinterpret_cast<std::byte*>(out.data()),
+                  sizeof(double), {n, m}, SplitSpec{0, Affine{1, 0}, 1}},
     };
-    return k;
-  });
+    MultiPipeline mp(shares, spec);
+    mp.run([m](const ChunkContext& ctx2) {
+      gpu::KernelDesc k;
+      const BufferView in_v = ctx2.view("in");
+      const BufferView out_v = ctx2.view("out");
+      const std::int64_t lo = ctx2.begin(), hi = ctx2.end();
+      k.body = [in_v, out_v, lo, hi, m] {
+        for (std::int64_t r = lo; r < hi; ++r)
+          for (std::int64_t j = 0; j < m; ++j)
+            out_v.slab_ptr(r)[j] =
+                in_v.slab_ptr(r - 1)[j] + in_v.slab_ptr(r)[j] + in_v.slab_ptr(r + 1)[j];
+      };
+      return k;
+    });
+    return mp.stats();
+  };
+
+  std::vector<double> out1(n * m, 0.0), out(n * m, 0.0);
+  const PipelineStats one = run_on(1, out1);
+  const PipelineStats two = run_on(2, out);
   for (std::int64_t r = 1; r < n - 1; ++r)
     for (std::int64_t j = 0; j < m; ++j)
       ASSERT_DOUBLE_EQ(out[r * m + j],
                        in[(r - 1) * m + j] + in[r * m + j] + in[(r + 1) * m + j])
           << r;
+  EXPECT_EQ(out, out1);
+  EXPECT_EQ(one.p2p_bytes, 0u);
+  EXPECT_GT(two.p2p_bytes, 0u) << "halo must travel device-to-device";
+  EXPECT_EQ(two.h2d_bytes, one.h2d_bytes);
+  EXPECT_EQ(two.d2h_bytes, one.d2h_bytes);
 }
 
 }  // namespace

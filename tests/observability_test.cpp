@@ -92,6 +92,21 @@ TEST(HistogramQuantile, EmptyAndTailBuckets) {
   EXPECT_DOUBLE_EQ(h.quantile(0.99), 2.0);
 }
 
+TEST(SampleQuantile, ExactAboveTheHistogramRange) {
+  // Turnarounds past the top histogram bound (10 s): the bucketed quantile
+  // clamps every percentile to 10 s, the exact one does not.
+  const std::vector<double> turnaround = {9.0, 10.5, 12.0, 14.0, 30.0};
+  telemetry::Histogram h({1.0, 10.0});
+  for (double t : turnaround) h.observe(t);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 10.0);
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile(turnaround, 0.5), 12.0);
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile(turnaround, 0.25), 10.5);
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile(turnaround, 0.95), 26.8);
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile(turnaround, 1.0), 30.0);
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile({30.0, 9.0}, 0.5), 19.5);  // unsorted input
+  EXPECT_DOUBLE_EQ(telemetry::sample_quantile({}, 0.5), 0.0);
+}
+
 // --- FlightRecorder -------------------------------------------------------
 
 TEST(FlightRecorderTest, RingKeepsNewestAndCountsDrops) {

@@ -128,6 +128,22 @@ TEST(PlanSerialize, PlanArtifactRoundTripIsByteExact) {
   EXPECT_EQ(serialize_artifact(out), bytes);
 }
 
+TEST(PlanSerialize, PassWallTimeDoesNotReachTheBytes) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.hazards().set_enabled(false);
+  PlanCache cache(8);
+  PipelineSpec spec = fig7_spec(g, 32, 256);
+  spec.chunk_size = 4;
+  PlanArtifact a = make_plan_artifact(g, cache, spec);
+  ASSERT_FALSE(a.report.passes.empty());
+  PlanArtifact b = a;
+  for (PassStats& p : a.report.passes) p.elapsed_s = 1.0;
+  for (PassStats& p : b.report.passes) p.elapsed_s = 2.5e-6;
+  // Two compiles of one plan differ only in how long each pass took; their
+  // bundles and disk-cache entries must not.
+  EXPECT_EQ(serialize_artifact(a), serialize_artifact(b));
+}
+
 TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
   TuneResult tune;
   tune.chunk_size = 48;

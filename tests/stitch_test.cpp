@@ -242,7 +242,9 @@ TEST(StitchSerialize, RoundTripsHandoffNodesAndReportFields) {
   EXPECT_EQ(back.report.stitched_bytes, 4096);
   EXPECT_EQ(back.report.fused_kernels, 3);
   ASSERT_EQ(back.report.passes.size(), 1u);
-  EXPECT_DOUBLE_EQ(back.report.passes[0].elapsed_s, 1.5e-6);
+  EXPECT_EQ(back.report.passes[0].bytes_saved, 4096u);
+  // Wall time stays out of the wire format.
+  EXPECT_EQ(back.report.passes[0].elapsed_s, 0.0);
 }
 
 // --- Scheduler runtime ---

@@ -31,8 +31,8 @@
 //            [--flops-per-iter F] [--bytes-per-iter B] [-o out]
 //
 // --shards N partitions the region's loop into N equal-weight shards
-// (core::shard_pipeline_specs — the same slicing the elastic scheduler
-// performs) and inspects shard --shard-index I (default 0) instead of the
+// (core::shard_pipeline_specs — the slicing every core::MultiPipeline
+// runs) and inspects shard --shard-index I (default 0) instead of the
 // whole region, so the P2pSend/P2pRecv halo-exchange nodes a sharded run
 // would execute are visible in --dot / --summary / --trace.
 #include <cstdio>

@@ -3,8 +3,8 @@
 // Reads a job-mix file (or generates a built-in mix), submits every job to
 // a sched::Scheduler over a multi-device shared context, and reports
 // per-job wait/service/turnaround, makespan versus the sum of solo
-// runtimes, and queue-wait/turnaround percentiles interpolated from the
-// `sched.` telemetry histograms.
+// runtimes, and exact queue-wait/turnaround percentiles over the completed
+// jobs.
 //
 // Usage:
 //   gpupipe_serve [mixfile] [--default-mix N] [--jobs N] [--chains N]
@@ -170,9 +170,28 @@ SimTime solo_runtime(const sched::JobMixLine& line, int index,
   return g.host_now() - t0;
 }
 
+constexpr std::pair<double, const char*> kSummaryQuantiles[] = {
+    {0.50, "p50"}, {0.95, "p95"}, {0.99, "p99"}};
+
+/// Completed jobs' wait and turnaround times: the summary percentiles are
+/// computed from these exactly (the sched.* histograms top out at 10 s).
+struct Latencies {
+  std::vector<double> wait;
+  std::vector<double> turnaround;
+};
+
+Latencies completed_latencies(const sched::ScheduleReport& rep) {
+  Latencies l;
+  for (const auto& r : rep.jobs) {
+    if (r.state != sched::JobState::Completed) continue;
+    l.wait.push_back(r.wait());
+    l.turnaround.push_back(r.turnaround());
+  }
+  return l;
+}
+
 void print_human(const sched::ScheduleReport& rep, const std::vector<sched::ServeJob>& jobs,
-                 SimTime sum_solo, const telemetry::Registry& reg, const Options& opt,
-                 Bytes h2d_total, Bytes d2h_total) {
+                 SimTime sum_solo, const Options& opt, Bytes h2d_total, Bytes d2h_total) {
   std::printf("gpupipe_serve: %zu jobs, %d x %s, policy %s, placement %s\n",
               jobs.size(), opt.devices, opt.machine_desc.c_str(),
               to_string(opt.sched.queue_policy), to_string(opt.sched.placement));
@@ -206,13 +225,17 @@ void print_human(const sched::ScheduleReport& rep, const std::vector<sched::Serv
     std::printf("  (sum of solo runtimes %.3f ms, speedup %.2fx)", sum_solo * 1e3,
                 rep.makespan > 0.0 ? sum_solo / rep.makespan : 0.0);
   std::printf("\n");
-  const auto& hist = reg.histograms();
-  for (const char* name : {"sched.wait_s", "sched.turnaround_s"}) {
-    auto it = hist.find(name);
-    if (it == hist.end()) continue;
-    std::printf("%s: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n", name,
-                it->second.quantile(0.50) * 1e3, it->second.quantile(0.95) * 1e3,
-                it->second.quantile(0.99) * 1e3);
+  const Latencies lat = completed_latencies(rep);
+  for (const auto& [name, v] : {std::pair{"wait", &lat.wait},
+                                std::pair{"turnaround", &lat.turnaround}}) {
+    if (v->empty()) continue;
+    const char* sep = ":";
+    std::printf("%s", name);
+    for (const auto& [q, tag] : kSummaryQuantiles) {
+      std::printf("%s %s %.3f ms", sep, tag, telemetry::sample_quantile(*v, q) * 1e3);
+      sep = ",";
+    }
+    std::printf("\n");
   }
   const core::PlanCacheStats pc = core::PlanCache::instance().stats();
   std::printf("plan cache: %lld hits, %lld misses (%.1f%% hit rate), %lld evictions, "
@@ -257,27 +280,30 @@ void print_json(const sched::ScheduleReport& rep, SimTime sum_solo,
        << r.admission_attempts << ",\"deadline_missed\":"
        << (r.deadline_missed ? "true" : "false") << "}";
   }
-  os << "],\"summary\":{\"makespan_s\":" << rep.makespan << ",\"sum_solo_s\":" << sum_solo
-     << ",\"speedup\":" << (rep.makespan > 0.0 && opt.solo ? sum_solo / rep.makespan : 0.0)
-     << ",\"completed\":" << rep.completed << ",\"rejected\":" << rep.rejected
+  os << "],\"summary\":{\"makespan_s\":" << rep.makespan;
+  // Not measured is null, not 0: solo runs are skipped by --no-solo/--jobs.
+  if (opt.solo)
+    os << ",\"sum_solo_s\":" << sum_solo << ",\"speedup\":"
+       << (rep.makespan > 0.0 ? sum_solo / rep.makespan : 0.0);
+  else
+    os << ",\"sum_solo_s\":null,\"speedup\":null";
+  os << ",\"completed\":" << rep.completed << ",\"rejected\":" << rep.rejected
      << ",\"stitched_jobs\":" << rep.stitched_jobs << ",\"stitched_bytes\":"
      << rep.stitched_bytes << ",\"handoff_fallbacks\":" << rep.handoff_fallbacks
      << ",\"h2d_bytes\":" << h2d_total << ",\"d2h_bytes\":" << d2h_total
      << ",\"throughput_jobs_per_s\":"
      << (rep.makespan > 0.0 ? static_cast<double>(rep.completed) / rep.makespan : 0.0);
-  // Percentiles are interpolated from the sched.* histograms in the
-  // registry — the same numbers any metrics consumer would derive.
-  const auto& hist = reg.histograms();
-  for (const auto& [name, key] :
-       {std::pair<const char*, const char*>{"sched.wait_s", "wait"},
-        std::pair<const char*, const char*>{"sched.turnaround_s", "turnaround"}}) {
-    auto it = hist.find(name);
-    if (it == hist.end()) continue;
-    for (const auto& [q, tag] : {std::pair<double, const char*>{0.50, "p50"},
-                                 std::pair<double, const char*>{0.95, "p95"},
-                                 std::pair<double, const char*>{0.99, "p99"}})
-      os << ",\"" << key << "_" << tag << "_s\":" << it->second.quantile(q);
-  }
+  // Exact percentiles over the completed jobs; null when none completed.
+  const Latencies lat = completed_latencies(rep);
+  for (const auto& [key, v] : {std::pair{"wait", &lat.wait},
+                               std::pair{"turnaround", &lat.turnaround}})
+    for (const auto& [q, tag] : kSummaryQuantiles) {
+      os << ",\"" << key << "_" << tag << "_s\":";
+      if (v->empty())
+        os << "null";
+      else
+        os << telemetry::sample_quantile(*v, q);
+    }
   os << "},\"metrics\":";
   reg.to_json(os);
   os << "}";
@@ -557,7 +583,7 @@ int main(int argc, char** argv) {
     if (opt.json)
       print_json(rep, sum_solo, reg, opt, h2d_total, d2h_total);
     else
-      print_human(rep, jobs, sum_solo, reg, opt, h2d_total, d2h_total);
+      print_human(rep, jobs, sum_solo, opt, h2d_total, d2h_total);
     if (!opt.json && opt.record)
       std::printf("flight recorder: %llu events (%zu retained, %llu dropped)%s\n",
                   static_cast<unsigned long long>(recorder.total_recorded()),
