@@ -134,11 +134,10 @@ void MultiPipeline::issue(const KernelFactory& make_kernel, bool record_events) 
   }
 }
 
-bool MultiPipeline::done() const {
-  for (const Part& p : parts_)
-    for (const auto& ev : p.events)
-      if (!ev->complete()) return false;
-  return true;
+std::vector<gpu::EventPtr> MultiPipeline::events() const {
+  std::vector<gpu::EventPtr> out;
+  for (const Part& p : parts_) out.insert(out.end(), p.events.begin(), p.events.end());
+  return out;
 }
 
 void MultiPipeline::wait() {

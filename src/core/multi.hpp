@@ -46,11 +46,11 @@ class MultiPipeline {
 
   /// Issues every slice without blocking, one slice at a time in
   /// descending order so a halo sender is issued before its receiver waits
-  /// on it, and records an event on each of the slice's streams for done().
+  /// on it, and records an event on each of the slice's streams.
   void enqueue(const KernelFactory& make_kernel);
-  /// True once every stream event of the last enqueue() fired. Never
-  /// advances time.
-  bool done() const;
+  /// The stream events of the last enqueue(), every slice (ascending); the
+  /// round is done once all of them fired.
+  std::vector<gpu::EventPtr> events() const;
   /// Drains every slice (ascending order).
   void wait();
   /// The synchronous region: issues like enqueue(), minus the completion

@@ -77,6 +77,10 @@ class GpuEvent {
   bool complete() const { return task_->done(); }
   /// Virtual time at which the event fired (valid once complete()).
   SimTime timestamp() const { return task_->end_time(); }
+  /// Runs `fn` when the event fires (at once if it already has), from
+  /// inside the simulator step that fires it; registrations run in order.
+  template <typename F>
+  void on_complete(F&& fn) { task_->on_complete(std::forward<F>(fn)); }
 
  private:
   friend class Gpu;

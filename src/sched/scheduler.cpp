@@ -14,9 +14,12 @@ namespace gpupipe::sched {
 namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
+// 100 us .. 1e5 s in 1-3 steps: a 100k-job serve run's turnarounds reach
+// ~2.3e4 s, and a value past the top bound lands only in the overflow bucket.
 const std::vector<double>& time_bounds() {
-  static const std::vector<double> b = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
-                                        0.1,  0.3,  1.0,  3.0,  10.0};
+  static const std::vector<double> b = {1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,  0.1,
+                                        0.3,  1.0,  3.0,  10.0, 30.0, 100.0, 300.0,
+                                        1e3,  3e3,  1e4,  3e4,  1e5};
   return b;
 }
 
@@ -53,6 +56,10 @@ Scheduler::Scheduler(std::vector<gpu::Gpu*> devices, SchedulerOptions opts)
 }
 
 Scheduler::~Scheduler() {
+  *self_ = nullptr;
+  // Pipelines drain their own streams on destruction; that must happen
+  // while the handoff staging their copies target is still allocated.
+  active_.clear();
   for (auto& l : links_) retire_link(*l);
 }
 
@@ -101,6 +108,13 @@ int Scheduler::submit(Job job) {
     r.estimate = kInf;
   }
 
+  // Producer -> consumer index for wire_producer_handoffs (ascending ids,
+  // each consumer once); it stays empty for mixes without lineage.
+  for (const JobInput& in : job.inputs) {
+    const std::size_t p = static_cast<std::size_t>(in.producer);
+    if (consumers_.size() <= p) consumers_.resize(p + 1);
+    if (consumers_[p].empty() || consumers_[p].back() != id) consumers_[p].push_back(id);
+  }
   jobs_.push_back(std::move(job));
   records_.push_back(std::move(r));
   stalled_.push_back(0);
@@ -126,6 +140,7 @@ ScheduleReport Scheduler::run() {
   });
 
   if (sampling()) next_sample_ = t0_ + opts_.sample_every;
+  active_.resize(jobs_.size());
 
   while (!all_terminal()) {
     bool progress = true;
@@ -164,28 +179,27 @@ ScheduleReport Scheduler::run() {
 }
 
 bool Scheduler::poll_completions() {
+  // Admission order is the order a scan over every running job would visit
+  // them in; the work list holds only the announced and the stalled ones.
+  due_.swap(ready_);
+  due_.insert(due_.end(), shard_waiting_.begin(), shard_waiting_.end());
+  shard_waiting_.clear();
+  std::sort(due_.begin(), due_.end(), [this](int x, int y) {
+    return active_[static_cast<std::size_t>(x)]->seq <
+           active_[static_cast<std::size_t>(y)]->seq;
+  });
   bool progress = false;
-  for (std::size_t i = 0; i < active_.size();) {
-    Active& a = active_[i];
-    if (a.shard && !a.shard->live() && !a.shard->finished()) {
-      // Stalled at a round boundary (no device could take a shard when the
-      // last round drained) — retry now that the picture may have changed.
-      if (launch_shard_round(a)) {
-        ++shard_rounds_;
-        record_flight(telemetry::FlightEventKind::Reshard, a.id,
-                      a.shard->device_mask(), a.shard->remaining());
+  for (const int id : due_) {
+    Active& a = *active_[static_cast<std::size_t>(id)];
+    if (a.shard) {
+      // Announced: the live round's events all fired. Otherwise the job
+      // stalled at a round boundary (no device could take a shard when the
+      // last round drained) and retries now that the picture may have
+      // changed.
+      if (a.shard->live()) {
+        a.shard->finish_round();
         progress = true;
       }
-      ++i;
-      continue;
-    }
-    if (!a.done()) {
-      ++i;
-      continue;
-    }
-    if (a.shard) {
-      a.shard->finish_round();
-      progress = true;
       if (!a.shard->finished()) {
         // Round boundary: re-partition the remaining iterations over the
         // devices available *now* — the elastic reshard point. A failed
@@ -196,16 +210,34 @@ bool Scheduler::poll_completions() {
           record_flight(telemetry::FlightEventKind::Reshard, a.id,
                         a.shard->device_mask(), a.shard->remaining());
           progress = true;
+        } else {
+          shard_waiting_.push_back(id);
         }
-        ++i;
         continue;
       }
     }
     complete_job(a);
-    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+    active_[static_cast<std::size_t>(id)].reset();
     progress = true;
   }
+  due_.clear();
   return progress;
+}
+
+void Scheduler::watch(Active& a) {
+  for (; a.next_event < a.events.size(); ++a.next_event) {
+    gpu::GpuEvent& ev = *a.events[a.next_event];
+    if (ev.complete()) continue;
+    // The Active can be gone while the scheduler is not: an exception
+    // between hooking and storing a job destroys (and drains) it.
+    ev.on_complete([self = self_, id = a.id] {
+      Scheduler* s = *self;
+      Active* job = s != nullptr ? s->active_[static_cast<std::size_t>(id)].get() : nullptr;
+      if (job != nullptr) s->watch(*job);
+    });
+    return;
+  }
+  ready_.push_back(a.id);
 }
 
 bool Scheduler::process_device_events() {
@@ -408,14 +440,19 @@ bool Scheduler::launch_shard_round(Active& a) {
     } catch (const gpu::OomError&) {
     }
   }
-  return a.shard->start_round(devs, shard_weights(devs, est, outstanding_));
+  if (!a.shard->start_round(devs, shard_weights(devs, est, outstanding_))) return false;
+  a.events = a.shard->round_events();
+  a.next_event = 0;
+  watch(a);
+  return true;
 }
 
 bool Scheduler::try_start_sharded(int id) {
   const std::size_t idx = static_cast<std::size_t>(id);
   JobRecord& r = records_[idx];
 
-  Active a;
+  auto ap = std::make_unique<Active>();
+  Active& a = *ap;
   a.id = id;
   a.estimate = r.estimate;
   ShardRunOptions so;
@@ -473,7 +510,8 @@ bool Scheduler::try_start_sharded(int id) {
                 static_cast<std::int64_t>(a.shard->round_p2p_bytes()));
   log_debug("sched: job ", id, " (", jobs_[idx].name, ") sharded over ",
             a.shard->num_shards(), " devices, ", to_mib(r.footprint), " MiB total");
-  active_.push_back(std::move(a));
+  a.seq = next_seq_++;
+  active_[idx] = std::move(ap);
   return true;
 }
 
@@ -498,7 +536,8 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   spec.mem_limit = d.footprint;
   admission_.commit(dev, d.footprint);
 
-  Active a;
+  auto ap = std::make_unique<Active>();
+  Active& a = *ap;
   a.id = id;
   a.device = dev;
   a.footprint = d.footprint;
@@ -532,7 +571,9 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
     a.events.push_back(device.record_event(*s));
   device.trace().set_trace_id(-1);
   if (std::isfinite(a.estimate)) outstanding_[static_cast<std::size_t>(dev)] += a.estimate;
-  active_.push_back(std::move(a));
+  a.seq = next_seq_++;
+  watch(a);
+  active_[idx] = std::move(ap);
 
   if (opts_.placement == PlacementPolicy::RoundRobin)
     rr_cursor_ = (dev + 1) % num_devices();
@@ -686,6 +727,7 @@ Scheduler::HandoffLink* Scheduler::find_link(int producer, const std::string& ar
 void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec,
                                        Active& a) {
   const std::size_t idx = static_cast<std::size_t>(id);
+  if (idx >= consumers_.size()) return;  // nothing consumes this job
   // Collect the output arrays stitchable consumers will read. An array
   // qualifies only when both ends meet ArrayHandoff's geometric
   // preconditions (dim-0 affine split, matching per-index bytes), so the
@@ -695,7 +737,8 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
     int consumers = 0;
   };
   std::vector<Cand> cands;
-  for (std::size_t j = idx + 1; j < jobs_.size(); ++j) {
+  for (const int consumer : consumers_[idx]) {
+    const std::size_t j = static_cast<std::size_t>(consumer);
     if (records_[j].state == JobState::Rejected) continue;
     for (const JobInput& in : jobs_[j].inputs) {
       if (in.producer != id) continue;
@@ -903,7 +946,7 @@ void Scheduler::advance() {
   // Sampling ticks additionally bound advancement (after the stall check:
   // a tick alone never represents pending work), so every sample is taken
   // at exactly its nominal time, not wherever the next event landed.
-  if (active_.empty()) {
+  if (running() == 0) {
     ensure(std::isfinite(wake), "scheduler stalled: nothing running and no wake time");
     advance_to(std::min(wake, next_sample_));
   } else {
@@ -925,12 +968,8 @@ void Scheduler::advance_until_completion_or(SimTime bound) {
     alarm = std::max(bound, ctx_->sim.now());
     ctx_->sim.schedule(alarm, [] {});
   }
-  ctx_->sim.run_until([&] {
-    if (bounded && ctx_->sim.now() >= alarm) return true;
-    for (const Active& a : active_)
-      if (a.done()) return true;
-    return false;
-  });
+  // O(1) per simulator event: the event hooks announce completions.
+  ctx_->sim.run_until([&] { return (bounded && ctx_->sim.now() >= alarm) || !ready_.empty(); });
   ctx_->host_time = std::max(ctx_->host_time, ctx_->sim.now());
 }
 
@@ -970,7 +1009,7 @@ void Scheduler::sample_at(SimTime t) {
   if (opts_.series) {
     telemetry::TimeSeriesStore& s = *opts_.series;
     s.add("sched.queue_depth", t, static_cast<double>(queue_.size()));
-    s.add("sched.active_jobs", t, static_cast<double>(active_.size()));
+    s.add("sched.active_jobs", t, static_cast<double>(running()));
     s.add("sched.completed", t, static_cast<double>(completed_));
     s.add("plan_cache.hit_rate", t, pc.hit_rate());
     const SimTime elapsed = t - t0_;
@@ -983,7 +1022,7 @@ void Scheduler::sample_at(SimTime t) {
     }
   }
   if (opts_.watchdog)
-    opts_.watchdog->check(t, static_cast<int>(active_.size() + queue_.size()),
+    opts_.watchdog->check(t, static_cast<int>(running() + queue_.size()),
                           pc.disk_corrupt);
 }
 

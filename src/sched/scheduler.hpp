@@ -21,8 +21,9 @@
 //     pipeline under pipeline_mem_limit; admission failure retries with
 //     exponential backoff, and a job is rejected only when it cannot fit an
 //     idle device or its retry budget runs out,
-//   * completion is detected by events recorded on the job's own streams —
-//     never by draining the device, which would serialize tenants.
+//   * completion is announced by events recorded on the job's own streams —
+//     never by draining the device, which would serialize tenants — whose
+//     hooks queue the job for the next completion pass.
 //
 // The scheduler never preempts and never advances time while any decision
 // is possible; time only moves to the next arrival, retry gate, or job
@@ -148,9 +149,12 @@ class Scheduler {
  public:
   /// All devices must share one SharedContext (one host thread, one clock).
   Scheduler(std::vector<gpu::Gpu*> devices, SchedulerOptions opts = {});
-  /// Frees any handoff staging a failed run() left behind (normal runs
-  /// retire every link when its last consumer turns terminal).
+  /// Drains the jobs a failed run() left in flight, then frees any handoff
+  /// staging it left behind (normal runs retire every link when its last
+  /// consumer turns terminal).
   ~Scheduler();
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   /// Registers a job; returns its id (== submission index). The solo
   /// runtime estimate (SJF rank, least-loaded weight) is computed here with
@@ -211,6 +215,7 @@ class Scheduler {
 
   struct Active {
     int id = -1;
+    std::uint64_t seq = 0;  ///< admission order (completion passes run in it)
     int device = -1;
     Bytes footprint = 0;
     SimTime estimate = 0.0;
@@ -220,24 +225,25 @@ class Scheduler {
     /// Estimated-seconds load added per device at start (removed on
     /// completion) — one entry for solo jobs, one per shard otherwise.
     std::vector<std::pair<int, SimTime>> shares;
-    std::vector<gpu::EventPtr> events;  ///< one per pipeline stream
-    bool done() const {
-      // A stalled sharded job (round-boundary wait for capacity) is not
-      // done: reporting done would spin the control loop without letting
-      // time advance to the device event that unblocks it.
-      if (shard) return shard->live() && shard->round_done();
-      for (const auto& ev : events)
-        if (!ev->complete()) return false;
-      return true;
-    }
+    /// One per stream of the pipeline, or of the live shard round.
+    std::vector<gpu::EventPtr> events;
+    std::size_t next_event = 0;  ///< events before it have fired
   };
 
   SimTime host_now() const { return ctx_->host_time; }
   bool all_terminal() const {
     return completed_ + rejected_ == static_cast<int>(jobs_.size());
   }
+  /// Jobs started and not yet completed (the non-null entries of active_).
+  std::size_t running() const { return next_seq_ - static_cast<std::size_t>(completed_); }
 
+  /// Handles the jobs on ready_ plus the sharded jobs stalled at a round
+  /// boundary, in admission order.
   bool poll_completions();
+  /// Hooks the first of `a.events` from `a.next_event` on that has not
+  /// fired; with none left, `a` joins ready_. Hooks call it again when they
+  /// fire, so each job holds one pending hook at a time.
+  void watch(Active& a);
   bool intake();
   bool dispatch();
   /// Applies scripted DeviceEvents whose time has passed.
@@ -308,7 +314,15 @@ class Scheduler {
   std::vector<char> stalled_;  ///< backpressure counted once per job
   std::vector<int> arrival_order_;
   std::size_t next_pending_ = 0;
-  std::vector<Active> active_;
+  std::vector<std::unique_ptr<Active>> active_;  ///< by job id; null unless running
+  std::uint64_t next_seq_ = 0;                   ///< jobs started so far
+  std::vector<int> due_;                         ///< poll_completions' work list
+  std::vector<int> shard_waiting_;               ///< stalled at a round boundary
+  std::vector<int> ready_;                       ///< all events fired, not yet handled
+  /// What the stream-event hooks call back through. ~Scheduler clears it
+  /// first, so a hook that fires during or after teardown (a pipeline torn
+  /// down mid-flight drains its streams) does nothing.
+  std::shared_ptr<Scheduler*> self_ = std::make_shared<Scheduler*>(this);
   std::vector<SimTime> outstanding_;  ///< estimated seconds running per device
   std::vector<char> dev_available_;   ///< elastic membership (DeviceEvents)
   std::vector<DeviceEvent> dev_events_;  ///< sorted by (time, position)
@@ -337,6 +351,9 @@ class Scheduler {
   Bytes h2d_bytes_total_ = 0;
   Bytes d2h_bytes_total_ = 0;
   std::vector<std::unique_ptr<HandoffLink>> links_;
+  /// By producer id: the ids of the jobs consuming it, ascending (sized to
+  /// the last producer anything consumes).
+  std::vector<std::vector<int>> consumers_;
   std::vector<int> lineage_wait_;  ///< arrived, held for producer completion
   int next_link_id_ = 0;
   std::size_t queue_depth_peak_ = 0;

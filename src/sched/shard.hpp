@@ -61,7 +61,7 @@ struct ShardRunOptions {
 
 /// One sharded job execution: a sequence of rounds, each an admission-
 /// checked MultiPipeline over a partition of the remaining iterations.
-/// Driven by the Scheduler through start_round / round_done / finish_round.
+/// Driven by the Scheduler through start_round / round_events / finish_round.
 class ShardRun {
  public:
   /// `job` and `admission` must outlive the run; `devices` is the
@@ -79,9 +79,8 @@ class ShardRun {
   /// or enqueued — when no device can admit a shard.
   bool start_round(const std::vector<int>& devices, const std::vector<double>& weights);
 
-  /// True when the live round's stream events have all fired (or no round
-  /// is live). Never advances time.
-  bool round_done() const { return !round_ || round_->done(); }
+  /// The live round's stream events; the round is done once all fired.
+  std::vector<gpu::EventPtr> round_events() const { return round_->events(); }
   /// Whether a round is currently enqueued.
   bool live() const { return round_ != nullptr; }
   /// Drains the finished round, tears down its MultiPipeline, releases its

@@ -168,6 +168,8 @@ class Task {
   void dependency_done();
   void maybe_ready();
   void complete();
+  /// Completion fan-out: trace span, completion callback, successors.
+  void notify_complete();
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
@@ -442,7 +444,14 @@ class Engine {
     --busy_;
     inflight_start_sum_ -= raw->start_;
     completed_busy_ += sim_.now() - raw->start_;
-    raw->complete();
+    try {
+      raw->complete();
+    } catch (...) {
+      // The slot is free either way (see Task::complete).
+      dispatch();
+      TaskArena::release_ref(raw);
+      throw;
+    }
     dispatch();
     TaskArena::release_ref(raw);
   }
@@ -615,8 +624,21 @@ inline void Task::complete() {
   end_ = engine_->simulator().now();
   if (payload_ != kNone) {
     Callback payload = arena_->take_callback(payload_);
-    payload();
+    try {
+      payload();
+    } catch (...) {
+      // A faulting payload (a Functional kernel body that throws) still
+      // completes its task before the fault leaves the simulator step, so
+      // its successors are not wedged and the machine can be drained and
+      // torn down afterwards.
+      notify_complete();
+      throw;
+    }
   }
+  notify_complete();
+}
+
+inline void Task::notify_complete() {
   if (trace_) {
     trace_->record(Span{span_kind_, span_lane_, span_label_, span_trace_, start_, end_,
                         span_bytes_, span_node_});

@@ -172,6 +172,25 @@ TEST(Gpu, QueryDoesNotAdvanceTime) {
   EXPECT_TRUE(g.query(ev));
 }
 
+// Completion hooks run in registration order inside the step that fires
+// the event; one attached after the event fired runs at once, so a waiter
+// that arms late is still told.
+TEST(Gpu, EventCompletionHooksRunInOrderAndAtOnceWhenFired) {
+  Gpu g(simple_profile());
+  std::byte* host = g.host_alloc(1'000'000);
+  std::byte* dev = g.device_malloc(1'000'000);
+  g.memcpy_h2d_async(dev, host, 1'000'000, g.default_stream());
+  EventPtr ev = g.record_event(g.default_stream());
+  std::vector<int> order;
+  ev->on_complete([&] { order.push_back(1); });
+  ev->on_complete([&] { order.push_back(2); });
+  EXPECT_TRUE(order.empty());
+  g.synchronize(ev);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  ev->on_complete([&] { order.push_back(3); });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Gpu, Pitched2dCopyMovesTheRightBytes) {
   Gpu g(simple_profile());
   // A 4x8 host matrix into a pitched device buffer and back.

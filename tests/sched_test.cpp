@@ -1,12 +1,14 @@
 // Multi-tenant scheduler tests: queue policies, admission control,
 // backpressure/retry, the 2-device consolidation criterion, determinism,
-// and the sched. telemetry namespace.
+// completion notification (order, hooks, teardown after a fault), and the
+// sched. telemetry namespace.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
@@ -463,6 +465,159 @@ TEST(Scheduler, CollectMetricsPopulatesSchedNamespace) {
   reg.to_json(a);
   reg2.to_json(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// --- Scheduler: completion notification ---------------------------------
+
+// A kernel that throws aborts run() with jobs in flight. Tearing the
+// scheduler down then drains their pipelines, which fires their completion
+// hooks while the scheduler is being destroyed; the faulted job's stream
+// must not wedge that drain, and the devices stay usable afterwards.
+TEST(Scheduler, ThrowingKernelLeavesTeardownSafe) {
+  const auto mix = sched::default_job_mix(6);
+  Machine m(2);
+  std::vector<sched::ServeJob> jobs;  // host arrays outlive the drain
+  {
+    sched::Scheduler s(m.devices, {});
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      jobs.push_back(sched::make_serve_job(mix[i], static_cast<int>(i)));
+      if (i == 2) {
+        // The first chunk's body faults; the rest run normally.
+        core::KernelFactory inner = jobs.back().job.kernel;
+        auto armed = std::make_shared<bool>(true);
+        jobs.back().job.kernel = [inner, armed](const core::ChunkContext& c) {
+          gpu::KernelDesc k = inner(c);
+          if (*armed) {
+            *armed = false;
+            k.body = [] { throw Error("kernel fault"); };
+          }
+          return k;
+        };
+      }
+      s.submit(jobs.back().job);
+    }
+    EXPECT_THROW(s.run(), Error);
+  }
+  for (const auto& g : m.gpus) g->synchronize();
+}
+
+// Identical jobs on identical idle devices with no host API overhead start
+// together and finish at one instant; the completion pass must then take
+// them in admission order (the priority order here, not submission order).
+TEST(Scheduler, SimultaneousCompletionsFollowAdmissionOrder) {
+  gpu::DeviceProfile profile = gpu::nvidia_k40m();
+  profile.api_call_host_overhead = 0.0;
+  Machine m(3, profile);
+  telemetry::FlightRecorder rec;
+  sched::SchedulerOptions opts;
+  opts.queue_policy = sched::QueuePolicy::Priority;
+  opts.recorder = &rec;
+  sched::Scheduler s(m.devices, opts);
+  std::vector<sched::ServeJob> jobs;
+  const int priority[] = {1, 3, 2};
+  for (int i = 0; i < 3; ++i) {
+    jobs.push_back(sched::make_serve_job({"stream", "small", priority[i], 0.0, {}}, i));
+    s.submit(jobs.back().job);
+  }
+  const sched::ScheduleReport rep = s.run();
+  ASSERT_EQ(rep.completed, 3);
+  EXPECT_EQ(rep.jobs[1].finish, rep.jobs[0].finish);
+  EXPECT_EQ(rep.jobs[2].finish, rep.jobs[0].finish);
+  std::vector<int> admitted, completed;
+  for (const auto& ev : rec.events()) {
+    if (ev.kind == telemetry::FlightEventKind::Admit) admitted.push_back(ev.job);
+    if (ev.kind == telemetry::FlightEventKind::Complete) completed.push_back(ev.job);
+  }
+  EXPECT_EQ(admitted, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(completed, admitted);
+  for (const auto& j : jobs) EXPECT_TRUE(j.verify());
+}
+
+// A job holds one pending hook, on the first of its stream events that has
+// not fired. Three chunks over two streams put the last chunk on the first
+// stream, so by the time that event fires the other stream's event already
+// has: the hook must find it complete and announce the job right away.
+TEST(Scheduler, JobWhoseOtherStreamsFinishedFirstStillCompletes) {
+  Machine m(1);
+  m.gpus[0]->trace().set_enabled(true);
+  sched::Scheduler s(m.devices, {});
+  sched::ServeJob sj = sched::make_serve_job({"stream", "small", 0, 0.0, {}}, 0);
+  sj.job.spec.num_streams = 2;
+  sj.job.spec.chunk_size = (sj.job.spec.iterations() + 2) / 3;
+  s.submit(sj.job);
+  const sched::ScheduleReport rep = s.run();
+  ASSERT_EQ(rep.completed, 1);
+  EXPECT_TRUE(sj.verify());
+
+  const sim::Trace& trace = m.gpus[0]->trace();
+  SimTime first = -1.0, other = -1.0;
+  for (const sim::Span& sp : trace.spans()) {
+    if (sp.kind != sim::SpanKind::Sync || sp.trace != 0) continue;
+    if (trace.label(sp) == "event(pipe0)") first = sp.end;
+    if (trace.label(sp) == "event(pipe1)") other = sp.end;
+  }
+  ASSERT_GE(other, 0.0);
+  EXPECT_GT(first, other);
+  EXPECT_EQ(rep.jobs[0].finish, first);
+}
+
+// Sharded and solo jobs interleave in the completion pass, and a sharded
+// job whose round drains while every device is gone waits at the round
+// boundary until one rejoins. Two runs must agree on every record and on
+// every flight event.
+TEST(Scheduler, ShardedAndSoloMixWithLeaveRejoinIsBitIdentical) {
+  std::vector<sched::JobMixLine> mix = {{"stream", "small", 0, 0.0, {}},
+                                        {"stencil", "small", 1, 0.0001, {}},
+                                        {"compute", "small", 2, 0.0002, {}},
+                                        {"stream", "small", 0, 0.0003, {}}};
+  mix.push_back({"stencil", "medium", 0, 0.0, {}});
+  const int big_id = static_cast<int>(mix.size()) - 1;
+  const sched::ServeJob big = sched::make_serve_job(mix.back(), big_id);
+  sched::SchedulerOptions opts;
+  opts.shard_threshold = footprint_at(big.job.spec, big.job.spec.chunk_size,
+                                      big.job.spec.num_streams);
+  opts.reshard_interval = big.job.spec.iterations() / 8;
+
+  auto run = [&](const sched::SchedulerOptions& o) {
+    telemetry::FlightRecorder rec;
+    sched::SchedulerOptions with = o;
+    with.recorder = &rec;
+    MixRun r = run_mix(mix, with);
+    return std::make_pair(r, rec.events());
+  };
+  const auto ref = run(opts);
+  const SimTime span = ref.first.report.makespan;
+  const SimTime rejoin = ref.first.report.start + 0.5 * span;
+  for (int d = 0; d < 2; ++d) {
+    opts.device_events.push_back({ref.first.report.start + 0.3 * span, d, false});
+    opts.device_events.push_back({rejoin, d, true});
+  }
+  const auto a = run(opts);
+  const auto b = run(opts);
+  ASSERT_EQ(a.first.report.completed, static_cast<int>(mix.size()));
+  EXPECT_EQ(a.first.report.jobs[static_cast<std::size_t>(big_id)].state,
+            sched::JobState::Completed);
+  expect_identical(a.first, b.first);
+  ASSERT_EQ(a.second.size(), b.second.size());
+  int reshards = 0;
+  bool resumed_at_rejoin = false;
+  for (std::size_t i = 0; i < a.second.size(); ++i) {
+    const telemetry::FlightEvent& x = a.second[i];
+    const telemetry::FlightEvent& y = b.second[i];
+    EXPECT_EQ(x.time, y.time) << i;
+    EXPECT_EQ(x.kind, y.kind) << i;
+    EXPECT_EQ(x.job, y.job) << i;
+    EXPECT_EQ(x.device, y.device) << i;
+    EXPECT_EQ(x.a, y.a) << i;
+    EXPECT_EQ(x.b, y.b) << i;
+    if (x.kind == telemetry::FlightEventKind::Reshard) {
+      ++reshards;
+      if (x.job == big_id && x.time >= rejoin) resumed_at_rejoin = true;
+    }
+  }
+  EXPECT_GT(reshards, 0);
+  // The stalled round boundary was retried when the devices came back.
+  EXPECT_TRUE(resumed_at_rejoin);
 }
 
 // --- Workloads ------------------------------------------------------------

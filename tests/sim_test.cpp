@@ -402,6 +402,29 @@ TEST(Task, ZeroDurationTaskCompletesAtItsStartTime) {
   EXPECT_DOUBLE_EQ(marker->end_time(), 1.5);
 }
 
+// A payload that throws propagates out of the step, but its task still
+// completes: the successor is released and the engine slot freed, so the
+// simulation can be drained afterwards instead of deadlocking.
+TEST(Task, ThrowingPayloadStillCompletesItsTask) {
+  Simulator sim;
+  Engine eng(sim, "e", 1);
+  bool notified = false;
+  auto bad = Task::create(eng, 1.0, "bad", [] { throw Error("payload fault"); });
+  bad->on_complete([&] { notified = true; });
+  auto next = Task::create(eng, 1.0, "next");
+  next->depends_on(bad);
+  auto other = Task::create(eng, 1.0, "other");
+  bad->submit(0.0);
+  next->submit(0.0);
+  other->submit(0.0);
+  EXPECT_THROW(sim.run_all(), Error);
+  EXPECT_TRUE(bad->done());
+  EXPECT_TRUE(notified);
+  sim.run_all();
+  EXPECT_TRUE(next->done());
+  EXPECT_TRUE(other->done());
+}
+
 TEST(Task, SameTimestampTasksCompleteInSubmissionOrder) {
   Simulator sim;
   Engine eng(sim, "e", 8);
